@@ -10,11 +10,11 @@
 //! `Bullshark-Rep` arm swaps in the Shoal-style leader-reputation
 //! schedule.
 //!
-//! Two latency-frontier arms ride along: `Bullshark-Pipelined` (a Shoal-
-//! style anchor candidate every round) and `FinWhale` (a two-round
-//! terminating commit). Under synchrony the pipelined variant must decide
-//! at a strictly lower DAG depth than plain Bullshark, which in turn sits
-//! below Tusk — the `d-rnds` ordering this bench gates on.
+//! A latency-frontier arm rides along: `Bullshark-Pipelined` (the same
+//! engine re-based one round after each commit, so a Shoal-style anchor
+//! candidate every round). Under synchrony it must decide at a strictly
+//! lower DAG depth than plain Bullshark, which in turn sits below Tusk —
+//! the `d-rnds` ordering this bench gates on.
 //!
 //! `-- --test` runs a small committee for a short window and asserts the
 //! headline claims (CI smoke); the default run reproduces the full
@@ -69,7 +69,7 @@ const SCENARIOS: [Scenario; 3] = [
 /// One run: stats plus the cross-validator prefix-agreement verdict.
 fn run(system: System, params: &BenchParams, partitions: Vec<Partition>) -> (RunStats, bool) {
     let result = run_actors_result(build_dag_actors(system, params), params, partitions);
-    let stats = RunStats::from_result(&result, params.duration, params.nodes);
+    let stats = RunStats::from_result(&result, params.duration);
     let seqs = committed_sequences(&result.commits, params.nodes);
     (stats, sequences_prefix_consistent(&seqs))
 }
@@ -108,7 +108,6 @@ fn main() {
         System::Bullshark,
         System::BullsharkRep,
         System::BullsharkPipelined,
-        System::FinWhale,
     ];
     for scenario in &SCENARIOS {
         let partitions = (scenario.partitions_for)(&params);

@@ -63,7 +63,7 @@ fn run(system: System, scenario: &Scenario, restart: bool) -> Outcome {
         crashes,
         restarts,
     );
-    let stats = RunStats::from_result(&result, params.duration, params.nodes);
+    let stats = RunStats::from_result(&result, params.duration);
     Outcome {
         stats,
         result,

@@ -22,7 +22,7 @@ pub struct BaselineEntry {
     pub stats: RunStats,
 }
 
-/// The baseline matrix: the six DAG systems over the paper's small and
+/// The baseline matrix: the five DAG systems over the paper's small and
 /// medium committees. `quick` shrinks it to one committee size for smoke
 /// runs.
 pub fn baseline_matrix(quick: bool) -> Vec<(System, usize)> {
@@ -32,7 +32,6 @@ pub fn baseline_matrix(quick: bool) -> Vec<(System, usize)> {
         System::Bullshark,
         System::BullsharkRep,
         System::BullsharkPipelined,
-        System::FinWhale,
     ];
     let sizes: &[usize] = if quick { &[4] } else { &[4, 10, 20] };
     let mut matrix = Vec::new();
@@ -159,7 +158,7 @@ mod tests {
     #[test]
     fn matrix_covers_systems_and_sizes() {
         let full = baseline_matrix(false);
-        assert_eq!(full.len(), 18, "6 systems x 3 committee sizes");
-        assert!(baseline_matrix(true).len() == 6);
+        assert_eq!(full.len(), 15, "5 systems x 3 committee sizes");
+        assert!(baseline_matrix(true).len() == 5);
     }
 }

@@ -33,14 +33,13 @@ use nt_types::{Committee, ValidatorId};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// The six DAG systems every schedule is checked against.
-pub const SYSTEMS: [System; 6] = [
+/// The five DAG systems every schedule is checked against.
+pub const SYSTEMS: [System; 5] = [
     System::Tusk,
     System::DagRider,
     System::Bullshark,
     System::BullsharkRep,
     System::BullsharkPipelined,
-    System::FinWhale,
 ];
 
 /// Quiet tail the plan guarantees and the liveness checker asserts.
@@ -190,7 +189,7 @@ pub fn run_schedule_byz(
         .collect();
     FuzzOutcome {
         violations,
-        stats: RunStats::from_result(&result, params.duration, nodes),
+        stats: RunStats::from_result(&result, params.duration),
         commit_events: result.commits.len(),
         snapshot_installs,
     }

@@ -57,11 +57,7 @@ impl RunStats {
     /// every transaction exactly once. Latency samples are deduplicated by
     /// sample id (each validator commits the same blocks; a sample is
     /// measured at the batch creator — the proposing validator — only).
-    pub fn from_commits(
-        commits: &[(Time, NodeId, CommitEvent)],
-        duration: Time,
-        expected_creators: usize,
-    ) -> RunStats {
+    pub fn from_commits(commits: &[(Time, NodeId, CommitEvent)], duration: Time) -> RunStats {
         let warmup = duration / 5;
         let window_s = (duration - warmup) as f64 / SEC as f64;
         let mut total_txs_window: u64 = 0;
@@ -106,7 +102,6 @@ impl RunStats {
                 }
             }
         }
-        let _ = expected_creators;
         let mean = |xs: &[f64]| -> f64 {
             if xs.is_empty() {
                 f64::NAN
@@ -149,8 +144,8 @@ impl RunStats {
     }
 
     /// Convenience: build from a [`SimResult`].
-    pub fn from_result(result: &SimResult, duration: Time, creators: usize) -> RunStats {
-        Self::from_commits(&result.commits, duration, creators)
+    pub fn from_result(result: &SimResult, duration: Time) -> RunStats {
+        Self::from_commits(&result.commits, duration)
     }
 
     /// Folds in commits dropped by a lagging subscriber (see
@@ -222,7 +217,7 @@ mod tests {
             (6 * SEC, 1usize, ev(0, 100, vec![])),
             (6 * SEC, 1usize, ev(1, 200, vec![])),
         ];
-        let stats = RunStats::from_commits(&commits, 10 * SEC, 2);
+        let stats = RunStats::from_commits(&commits, 10 * SEC);
         // Window is 8 s; only (node 0, author 0) and (node 1, author 1).
         assert!((stats.throughput_tps - 300.0 / 8.0).abs() < 1e-9);
     }
@@ -233,7 +228,7 @@ mod tests {
             (SEC, 0usize, ev(0, 1_000, vec![])),
             (6 * SEC, 0usize, ev(0, 100, vec![])),
         ];
-        let stats = RunStats::from_commits(&commits, 10 * SEC, 1);
+        let stats = RunStats::from_commits(&commits, 10 * SEC);
         assert!((stats.throughput_tps - 100.0 / 8.0).abs() < 1e-9);
         assert_eq!(stats.total_txs, 1_100, "total still counts everything");
     }
@@ -259,7 +254,7 @@ mod tests {
             mk(1, 5 * SEC, 6 * SEC), // duplicate sample id: ignored
             mk(2, 5 * SEC, 8 * SEC), // 3 s
         ];
-        let stats = RunStats::from_commits(&commits, 10 * SEC, 1);
+        let stats = RunStats::from_commits(&commits, 10 * SEC);
         assert_eq!(stats.samples, 2);
         assert!((stats.avg_latency_s - 2.0).abs() < 1e-9);
         assert!(
@@ -284,7 +279,7 @@ mod tests {
         };
         // Counters are cumulative: only each node's final value counts.
         let commits = vec![mk(0, 2, 0), mk(0, 5, 1), mk(1, 3, 3)];
-        let stats = RunStats::from_commits(&commits, 10 * SEC, 2);
+        let stats = RunStats::from_commits(&commits, 10 * SEC);
         assert!((stats.direct_commits - 4.0).abs() < 1e-9, "(5 + 3) / 2");
         assert!((stats.indirect_commits - 2.0).abs() < 1e-9, "(1 + 3) / 2");
     }
@@ -305,7 +300,7 @@ mod tests {
             )
         };
         let commits = vec![mk(3, 5), mk(4, 5), mk(5, 6)];
-        let stats = RunStats::from_commits(&commits, 10 * SEC, 1);
+        let stats = RunStats::from_commits(&commits, 10 * SEC);
         assert!((stats.decision_rounds - (2.0 + 1.0 + 1.0) / 3.0).abs() < 1e-9);
     }
 

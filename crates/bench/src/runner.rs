@@ -2,7 +2,8 @@
 
 use crate::metrics::RunStats;
 use crate::params::BenchParams;
-use narwhal::AddressBook;
+use bullshark::{Bullshark, Reputation, RoundRobin};
+use narwhal::{build_actors, AddressBook};
 use nt_crypto::Scheme;
 use nt_network::{Actor, NodeId, Time};
 use nt_simnet::{
@@ -10,6 +11,7 @@ use nt_simnet::{
 };
 use nt_storage::DynStore;
 use nt_types::{Committee, ValidatorId, WorkerId};
+use tusk::{DagRider, Tusk};
 
 /// The systems of the paper's evaluation (§6, §7), plus the follow-up
 /// protocols layered over the same mempool.
@@ -27,9 +29,6 @@ pub enum System {
     /// Shoal-style pipelined Bullshark: an anchor candidate every round,
     /// reputation re-anchoring past dead candidates.
     BullsharkPipelined,
-    /// FinWhale: two-round terminating commit (vote-counted verdicts,
-    /// round-robin leaders).
-    FinWhale,
     /// Narwhal mempool + HotStuff ordering certificates (§3.2).
     NarwhalHs,
     /// Prism-style batched mempool + HotStuff (§6 "Batched-HS").
@@ -47,7 +46,6 @@ impl System {
             System::Bullshark => "Bullshark",
             System::BullsharkRep => "Bullshark-Rep",
             System::BullsharkPipelined => "Bullshark-Pipelined",
-            System::FinWhale => "FinWhale",
             System::NarwhalHs => "Narwhal-HS",
             System::BatchedHs => "Batched-HS",
             System::BaselineHs => "Baseline-HS",
@@ -122,8 +120,7 @@ pub fn run_system(system: System, params: &BenchParams, partitions: Vec<Partitio
         | System::DagRider
         | System::Bullshark
         | System::BullsharkRep
-        | System::BullsharkPipelined
-        | System::FinWhale => run_dag_system(system, params, partitions),
+        | System::BullsharkPipelined => run_dag_system(system, params, partitions),
         // The HotStuff arms are wired in `runner_hs` (see below).
         System::NarwhalHs => crate::runner_hs::run_narwhal_hs(params, partitions),
         System::BatchedHs => crate::runner_hs::run_batched_hs(params, partitions),
@@ -141,56 +138,25 @@ pub fn build_dag_actors(
 ) -> Vec<Box<dyn Actor<Message = tusk::TuskMsg>>> {
     let (committee, kps) = Committee::deterministic(params.nodes, params.workers, Scheme::Insecure);
     let config = params.narwhal_config();
+    let (c, w, seed) = (&committee, params.workers, params.seed);
     match system {
-        System::Tusk => {
-            tusk::build_tusk_actors(&committee, &kps, &config, params.workers, params.seed)
-        }
-        System::DagRider => build_dag_rider_actors(&committee, &kps, &config, params),
-        System::Bullshark => {
-            bullshark::build_bullshark_rr_actors(&committee, &kps, &config, params.workers)
-        }
-        System::BullsharkRep => {
-            bullshark::build_bullshark_rep_actors(&committee, &kps, &config, params.workers)
-        }
-        System::BullsharkPipelined => {
-            bullshark::build_pipelined_rep_actors(&committee, &kps, &config, params.workers)
-        }
-        System::FinWhale => {
-            bullshark::build_finwhale_rr_actors(&committee, &kps, &config, params.workers)
-        }
+        System::Tusk => build_actors(c, &kps, &config, w, |_| Tusk::new(c.clone(), seed)),
+        System::DagRider => build_actors(c, &kps, &config, w, |_| DagRider::new(c.clone(), seed)),
+        System::Bullshark => build_actors(c, &kps, &config, w, |_| {
+            Bullshark::new(c.clone(), RoundRobin::new(c))
+        }),
+        System::BullsharkRep => build_actors(c, &kps, &config, w, |_| {
+            Bullshark::new(c.clone(), Reputation::new(c))
+        }),
+        System::BullsharkPipelined => build_actors(c, &kps, &config, w, |_| {
+            Bullshark::pipelined(c.clone(), Reputation::new(c))
+        }),
         _ => panic!("{} is not a DAG-over-Narwhal system", system.name()),
     }
 }
 
 fn run_dag_system(system: System, params: &BenchParams, partitions: Vec<Partition>) -> RunStats {
     run_actors(build_dag_actors(system, params), params, partitions)
-}
-
-fn build_dag_rider_actors(
-    committee: &Committee,
-    kps: &[nt_crypto::KeyPair],
-    config: &narwhal::NarwhalConfig,
-    params: &BenchParams,
-) -> Vec<Box<dyn Actor<Message = tusk::TuskMsg>>> {
-    let mut actors: Vec<Box<dyn Actor<Message = tusk::TuskMsg>>> = Vec::new();
-    for v in 0..committee.size() as u32 {
-        let primary = narwhal::NodeBuilder::new(committee.clone(), v)
-            .config(config.clone())
-            .workers_per_validator(params.workers)
-            .keypair(kps[v as usize].clone())
-            .build_primary(tusk::DagRider::new(committee.clone(), params.seed));
-        actors.push(Box::new(primary));
-    }
-    for v in 0..committee.size() as u32 {
-        for w in 0..params.workers {
-            let worker = narwhal::NodeBuilder::new(committee.clone(), v)
-                .config(config.clone())
-                .workers_per_validator(params.workers)
-                .build_worker::<narwhal::NoExt>(nt_types::WorkerId(w));
-            actors.push(Box::new(worker));
-        }
-    }
-    actors
 }
 
 /// Host ids of validator `v` in the [`AddressBook`] layout: its primary
@@ -275,31 +241,19 @@ pub fn build_dag_actor_factories_with_app(
             if ledger {
                 builder = builder.execution(Box::new(nt_execution::LedgerApp::new()));
             }
+            let c = &committee;
             match system {
-                System::Tusk => {
-                    Box::new(builder.build_primary(tusk::Tusk::new(committee.clone(), seed)))
+                System::Tusk => Box::new(builder.build_primary(Tusk::new(c.clone(), seed))),
+                System::DagRider => Box::new(builder.build_primary(DagRider::new(c.clone(), seed))),
+                System::Bullshark => {
+                    Box::new(builder.build_primary(Bullshark::new(c.clone(), RoundRobin::new(c))))
                 }
-                System::DagRider => {
-                    Box::new(builder.build_primary(tusk::DagRider::new(committee.clone(), seed)))
+                System::BullsharkRep => {
+                    Box::new(builder.build_primary(Bullshark::new(c.clone(), Reputation::new(c))))
                 }
-                System::Bullshark => Box::new(builder.build_primary(bullshark::Bullshark::new(
-                    committee.clone(),
-                    bullshark::RoundRobin::new(&committee),
-                ))),
-                System::BullsharkRep => Box::new(builder.build_primary(bullshark::Bullshark::new(
-                    committee.clone(),
-                    bullshark::Reputation::new(&committee),
-                ))),
-                System::BullsharkPipelined => {
-                    Box::new(builder.build_primary(bullshark::PipelinedBullshark::new(
-                        committee.clone(),
-                        bullshark::Reputation::new(&committee),
-                    )))
-                }
-                System::FinWhale => Box::new(builder.build_primary(bullshark::FinWhale::new(
-                    committee.clone(),
-                    bullshark::RoundRobin::new(&committee),
-                ))),
+                System::BullsharkPipelined => Box::new(
+                    builder.build_primary(Bullshark::pipelined(c.clone(), Reputation::new(c))),
+                ),
                 _ => panic!("{} is not a DAG-over-Narwhal system", system.name()),
             }
         }));
@@ -395,7 +349,7 @@ pub fn run_actors<M: SimMessage>(
     partitions: Vec<Partition>,
 ) -> RunStats {
     let result = run_actors_result(actors, params, partitions);
-    RunStats::from_result(&result, params.duration, params.nodes)
+    RunStats::from_result(&result, params.duration)
 }
 
 /// Like [`run_actors`], but returns the raw [`nt_simnet::SimResult`] so

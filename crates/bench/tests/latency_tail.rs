@@ -75,7 +75,7 @@ fn check_no_cliff(system: System) {
     // reaching the slowest region's chain, the tail stays within 2x the
     // median; starved chains that wait ~10 rounds for a same-region
     // anchor push p99 beyond it.
-    let stats = RunStats::from_result(&result, params.duration, params.nodes);
+    let stats = RunStats::from_result(&result, params.duration);
     assert!(
         stats.p50_latency_s > 0.0,
         "{}: run produced samples",
@@ -103,9 +103,4 @@ fn bullshark_rep_ten_node_tail_stays_bounded() {
 #[test]
 fn bullshark_pipelined_ten_node_tail_stays_bounded() {
     check_no_cliff(System::BullsharkPipelined);
-}
-
-#[test]
-fn finwhale_ten_node_tail_stays_bounded() {
-    check_no_cliff(System::FinWhale);
 }

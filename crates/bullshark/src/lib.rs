@@ -9,6 +9,11 @@
 //! cutting the common-case commit point from ~4.5 rounds to 2 while
 //! reusing the DAG, the garbage collector, and the primary unchanged.
 //!
+//! One engine, [`Bullshark`], covers both anchor layouts:
+//! [`Bullshark::new`] keeps fixed two-round waves, and
+//! [`Bullshark::pipelined`] re-bases one round after each commit
+//! (Shoal-style pipelining: an anchor candidate every round).
+//!
 //! Two schedules ship with the crate: [`RoundRobin`] (the paper baseline)
 //! and [`Reputation`], a Shoal-style standing that rotates leadership over
 //! the best-behaved `n - f` validators so crashed leaders stop costing a
@@ -16,27 +21,12 @@
 //!
 //! Like Tusk, Bullshark here sends no messages of its own
 //! (`Ext = NoExt`): it is a pure interpretation of the locally observed
-//! DAG, and the `ablation_bullshark` bench compares the two protocols on
-//! identical deployments.
-
-//! Two latency-frontier variants ship alongside plain Bullshark:
-//! [`PipelinedBullshark`] (Shoal-style anchor pipelining — an anchor
-//! candidate every round, reputation re-anchoring past dead candidates)
-//! and [`FinWhale`] (an optimally-resilient two-round terminating commit
-//! whose skips settle at the wave's own voting round).
+//! DAG, and the `ablation_bullshark` bench compares the protocols on
+//! identical deployments. Deployments are assembled with
+//! [`narwhal::build_actors`].
 
 pub mod bullshark;
-pub mod finwhale;
-pub mod pipelined;
 pub mod schedule;
-pub mod system;
 
 pub use bullshark::Bullshark;
-pub use finwhale::FinWhale;
-pub use pipelined::PipelinedBullshark;
 pub use schedule::{LeaderSchedule, Reputation, RoundRobin};
-pub use system::{
-    build_bullshark_actors, build_bullshark_rep_actors, build_bullshark_rr_actors,
-    build_finwhale_actors, build_finwhale_rr_actors, build_pipelined_actors,
-    build_pipelined_rep_actors, BullsharkMsg,
-};

@@ -111,10 +111,11 @@ pub trait DagConsensus: Send {
 
     /// Rounds between consecutive anchor candidates on the happy path.
     ///
-    /// Two-round-wave protocols (Bullshark, FinWhale) elect an anchor every
-    /// other round; pipelined-anchor protocols (Shoal-style) elect one every
-    /// round and return 1; Tusk's three-round waves still *commit* one
-    /// anchor per two rounds on average, so the default of 2 fits it too.
+    /// Two-round-wave protocols (Bullshark) elect an anchor every other
+    /// round; pipelined-anchor protocols (Shoal-style pipelined Bullshark)
+    /// elect one every round and return 1; Tusk's three-round waves still
+    /// *commit* one anchor per two rounds on average, so the default of 2
+    /// fits it too.
     /// Deployment tooling and the fairness checker use the cadence to
     /// reason about how dense a healthy commit stream should be; it is
     /// informational and never affects safety.

@@ -22,9 +22,10 @@
 //! - [`messages`]: the wire protocol, generic over a consensus extension.
 //! - [`store`]: the typed persistent block store (the paper's RocksDB
 //!   role), with crash recovery of the DAG.
-//! - [`node`]: the [`NodeBuilder`] construction surface and the
-//!   role-agnostic [`Node`] driver API (with [`CommitStream`] taps) that
-//!   the simulator and the real-socket runtime both program against.
+//! - [`node`]: the [`NodeBuilder`] construction surface, [`build_actors`]
+//!   for a whole deployment, and the role-agnostic [`Node`] driver API
+//!   (with [`CommitStream`] taps) that the simulator and the real-socket
+//!   runtime both program against.
 //! - [`deployment`]: host layout shared by the simulator and local runtime.
 //! - [`config`]: tunable parameters with the paper's defaults.
 
@@ -37,6 +38,8 @@ pub mod messages;
 pub mod node;
 pub mod primary;
 pub mod store;
+#[doc(hidden)]
+pub mod test_support;
 pub mod worker;
 
 pub use adversary::{AdversaryKind, Byzantine, ADVERSARY_TAG_BASE};
@@ -45,7 +48,7 @@ pub use consensus::{ConsensusOut, DagConsensus, NoConsensus, NoExt};
 pub use dag::{CertId, Dag, DagView, InsertOutcome};
 pub use deployment::AddressBook;
 pub use messages::{BatchInfo, NarwhalMsg};
-pub use node::{CommitStream, Node, NodeBuilder, NodeRole};
+pub use node::{build_actors, CommitStream, Node, NodeBuilder, NodeRole};
 pub use primary::Primary;
 pub use store::{BlockStore, BlockStoreError};
 pub use worker::Worker;

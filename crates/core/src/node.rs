@@ -176,6 +176,37 @@ impl NodeBuilder {
     }
 }
 
+/// Builds every host of a deployment in [`AddressBook`] order: the
+/// primaries `0..n`, validator `v`'s running the consensus instance
+/// `make(v)`, then `workers` workers per validator.
+pub fn build_actors<C: DagConsensus + 'static>(
+    committee: &Committee,
+    keypairs: &[KeyPair],
+    config: &NarwhalConfig,
+    workers: u32,
+    make: impl Fn(ValidatorId) -> C,
+) -> Vec<Box<dyn Actor<Message = NarwhalMsg<C::Ext>>>> {
+    let n = committee.size() as u32;
+    let builder = |v: u32| {
+        NodeBuilder::new(committee.clone(), v)
+            .config(config.clone())
+            .workers_per_validator(workers)
+    };
+    let mut actors: Vec<Box<dyn Actor<Message = NarwhalMsg<C::Ext>>>> = Vec::new();
+    for v in 0..n {
+        let primary = builder(v)
+            .keypair(keypairs[v as usize].clone())
+            .build_primary(make(ValidatorId(v)));
+        actors.push(Box::new(primary));
+    }
+    for v in 0..n {
+        for w in 0..workers {
+            actors.push(Box::new(builder(v).build_worker::<C::Ext>(WorkerId(w))));
+        }
+    }
+    actors
+}
+
 /// The role a [`Node`] plays within its validator.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum NodeRole {
@@ -398,6 +429,14 @@ mod tests {
             .workers_per_validator(3)
             .address_book();
         assert_eq!(book.total_hosts(), 4 + 4 * 3);
+    }
+
+    #[test]
+    fn build_actors_lays_out_primaries_then_workers() {
+        let (committee, kps) = committee4();
+        let config = NarwhalConfig::with_load(1000.0);
+        let actors = build_actors(&committee, &kps, &config, 2, |_| NoConsensus);
+        assert_eq!(actors.len(), AddressBook::new(4, 2).total_hosts());
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::types::{HsMsg, HsPayload};
 use narwhal::{ConsensusOut, Dag, DagConsensus, NarwhalConfig};
 use nt_crypto::{Digest, KeyPair};
 use nt_network::Actor;
-use nt_types::{Committee, ValidatorId, WorkerId};
+use nt_types::{Committee, ValidatorId};
 use std::collections::HashSet;
 
 struct PendingProposal {
@@ -184,29 +184,14 @@ pub fn build_narwhal_hs_actors(
 ) -> Vec<Box<dyn Actor<Message = narwhal::NarwhalMsg<HsMsg>>>> {
     let (committee, kps) = Committee::deterministic(n, workers, nt_crypto::Scheme::Insecure);
     let hs_config = HsConfig::default();
-    let mut actors: Vec<Box<dyn Actor<Message = narwhal::NarwhalMsg<HsMsg>>>> = Vec::new();
-    for v in 0..n as u32 {
-        let consensus = NarwhalHsConsensus::new(
+    narwhal::build_actors(&committee, &kps, config, workers, |v| {
+        NarwhalHsConsensus::new(
             committee.clone(),
             hs_config.clone(),
-            ValidatorId(v),
-            kps[v as usize].clone(),
-        );
-        let primary = narwhal::NodeBuilder::new(committee.clone(), v)
-            .config(config.clone())
-            .keypair(kps[v as usize].clone())
-            .build_primary(consensus);
-        actors.push(Box::new(primary));
-    }
-    for v in 0..n as u32 {
-        for w in 0..workers {
-            let worker = narwhal::NodeBuilder::new(committee.clone(), v)
-                .config(config.clone())
-                .build_worker::<HsMsg>(WorkerId(w));
-            actors.push(Box::new(worker));
-        }
-    }
-    actors
+            v,
+            kps[v.0 as usize].clone(),
+        )
+    })
 }
 
 #[cfg(test)]

@@ -43,8 +43,6 @@ pub enum SystemKind {
     /// Pipelined Bullshark (anchor candidate every round, reputation
     /// re-anchoring).
     BullsharkPipelined,
-    /// FinWhale: two-round terminating commit, round-robin leaders.
-    FinWhale,
 }
 
 impl SystemKind {
@@ -54,7 +52,6 @@ impl SystemKind {
             SystemKind::Bullshark => "bullshark",
             SystemKind::BullsharkRep => "bullshark-rep",
             SystemKind::BullsharkPipelined => "bullshark-pipelined",
-            SystemKind::FinWhale => "finwhale",
         }
     }
 }
@@ -68,7 +65,6 @@ impl std::str::FromStr for SystemKind {
             "bullshark" => Ok(SystemKind::Bullshark),
             "bullshark-rep" => Ok(SystemKind::BullsharkRep),
             "bullshark-pipelined" => Ok(SystemKind::BullsharkPipelined),
-            "finwhale" => Ok(SystemKind::FinWhale),
             other => Err(ConfigError::new(format!("unknown system '{other}'"))),
         }
     }
@@ -499,6 +495,16 @@ mod tests {
             assert!(CommitteeConfig::parse(bad).is_err(), "accepted: {bad:?}");
         }
         assert!(KeyFile::parse("scheme insecure\n").is_err(), "missing seed");
+    }
+
+    #[test]
+    fn removed_finwhale_keyword_is_a_config_error() {
+        let text = sample_config()
+            .to_file_string()
+            .replace("system bullshark", "system finwhale");
+        assert!(text.contains("system finwhale\n"));
+        let err = CommitteeConfig::parse(&text).expect_err("finwhale is no longer a system");
+        assert_eq!(err.to_string(), "config error: unknown system 'finwhale'");
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub use driver::{drive, spawn_node, DriverHandle};
 pub use timer::TimerWheel;
 pub use transport::{ClientConn, Transport};
 
-use bullshark::{Bullshark, FinWhale, PipelinedBullshark, Reputation, RoundRobin};
+use bullshark::{Bullshark, Reputation, RoundRobin};
 use narwhal::{NoExt, Node, NodeBuilder, NodeRole};
 use nt_crypto::KeyPair;
 use nt_execution::{Execution, LedgerApp};
@@ -129,11 +129,7 @@ pub fn build_node_with_app(
             }
             SystemKind::BullsharkPipelined => {
                 let schedule = Reputation::new(&committee);
-                builder.primary_node(PipelinedBullshark::new(committee, schedule))
-            }
-            SystemKind::FinWhale => {
-                let schedule = RoundRobin::new(&committee);
-                builder.primary_node(FinWhale::new(committee, schedule))
+                builder.primary_node(Bullshark::pipelined(committee, schedule))
             }
         },
         NodeRole::Worker(worker) => builder.worker_node::<NoExt>(worker),
@@ -174,7 +170,6 @@ mod tests {
             SystemKind::Bullshark,
             SystemKind::BullsharkRep,
             SystemKind::BullsharkPipelined,
-            SystemKind::FinWhale,
         ] {
             let (config, keypairs) = test_config(system);
             let primary = build_node(

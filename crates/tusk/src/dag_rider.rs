@@ -143,48 +143,14 @@ impl DagConsensus for DagRider {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nt_crypto::{Digest, Hashable, Scheme};
-    use nt_types::{Header, Vote};
+    use narwhal::test_support::Driver;
 
     fn drive_full_dag(n: usize, rounds: Round) -> (Vec<Certificate>, DagRider) {
-        let (committee, kps) = Committee::deterministic(n, 1, Scheme::Insecure);
-        let mut dag = Dag::new();
-        dag.insert_genesis(Certificate::genesis_set(&committee));
-        let mut rider = DagRider::new(committee.clone(), 11);
-        let mut anchors = Vec::new();
+        let mut d = Driver::new(n, |c| DagRider::new(c.clone(), 11));
         for r in 1..=rounds {
-            let parents: Vec<Digest> = dag.round_certs(r - 1).map(|c| c.header_digest()).collect();
-            for (i, kp) in kps.iter().enumerate() {
-                let share = CoinShare::new(kp, r);
-                let header = Header::new(
-                    kp,
-                    ValidatorId(i as u32),
-                    r,
-                    vec![],
-                    parents.clone(),
-                    Some(share),
-                );
-                let votes: Vec<Vote> = kps
-                    .iter()
-                    .enumerate()
-                    .map(|(j, vkp)| {
-                        Vote::new(
-                            vkp,
-                            ValidatorId(j as u32),
-                            header.digest(),
-                            r,
-                            header.author,
-                        )
-                    })
-                    .collect();
-                let cert = Certificate::from_votes(&committee, header, &votes).unwrap();
-                dag.insert(cert.clone());
-                let mut out = ConsensusOut::default();
-                rider.on_certificate(&dag, &cert, &mut out);
-                anchors.extend(out.anchors);
-            }
+            d.full_round(r);
         }
-        (anchors, rider)
+        (d.anchors, d.consensus)
     }
 
     #[test]

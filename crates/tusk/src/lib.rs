@@ -13,9 +13,10 @@
 //! `ablation_dag_rider` bench reproduces.
 
 pub mod dag_rider;
-pub mod system;
 pub mod tusk;
 
 pub use dag_rider::DagRider;
-pub use system::{build_tusk_actors, TuskMsg};
 pub use tusk::Tusk;
+
+/// The wire message type of a Tusk deployment (no consensus extension).
+pub type TuskMsg = narwhal::NarwhalMsg<narwhal::NoExt>;

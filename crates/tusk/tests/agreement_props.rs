@@ -2,9 +2,10 @@
 //! local views — different insertion orders and different subsets above the
 //! quorum floor — commit prefix-consistent anchor sequences.
 
+use narwhal::test_support::make_round;
 use narwhal::{ConsensusOut, Dag, DagConsensus};
-use nt_crypto::{CoinShare, Digest, Hashable, Scheme};
-use nt_types::{Certificate, Committee, Header, Round, ValidatorId, Vote};
+use nt_crypto::{Digest, Scheme};
+use nt_types::{Certificate, Committee, Round, ValidatorId};
 use proptest::prelude::*;
 use tusk::Tusk;
 
@@ -16,35 +17,25 @@ fn random_dag_certs(n: usize, rounds: Round, edges: &[u8]) -> (Committee, Vec<Ce
     let mut all: Vec<Certificate> = Certificate::genesis_set(&committee);
     let mut prev: Vec<Digest> = all.iter().map(Certificate::header_digest).collect();
     let mut idx = 0usize;
+    let authors: Vec<u32> = (0..n as u32).collect();
     for r in 1..=rounds {
-        let mut next = Vec::new();
-        for (i, kp) in kps.iter().enumerate() {
-            let mut parents = prev.clone();
-            while parents.len() > quorum {
-                let pick = edges.get(idx).copied().unwrap_or(7) as usize % parents.len();
-                idx += 1;
-                parents.remove(pick);
-            }
-            let share = CoinShare::new(kp, r);
-            let header = Header::new(kp, ValidatorId(i as u32), r, vec![], parents, Some(share));
-            let votes: Vec<Vote> = kps
-                .iter()
-                .enumerate()
-                .map(|(j, vkp)| {
-                    Vote::new(
-                        vkp,
-                        ValidatorId(j as u32),
-                        header.digest(),
-                        r,
-                        header.author,
-                    )
-                })
-                .collect();
-            let cert = Certificate::from_votes(&committee, header, &votes).expect("quorum");
-            next.push(cert.header_digest());
-            all.push(cert);
-        }
-        prev = next;
+        let parents: Vec<Vec<Digest>> = authors
+            .iter()
+            .map(|_| {
+                let mut parents = prev.clone();
+                while parents.len() > quorum {
+                    let pick = edges.get(idx).copied().unwrap_or(7) as usize % parents.len();
+                    idx += 1;
+                    parents.remove(pick);
+                }
+                parents
+            })
+            .collect();
+        let certs = make_round(&committee, &kps, r, &authors, |a| {
+            parents[a as usize].clone()
+        });
+        prev = certs.iter().map(Certificate::header_digest).collect();
+        all.extend(certs);
     }
     (committee, all)
 }

@@ -55,7 +55,7 @@ fn run(system: System) -> Outcome {
             buckets[(*at / (5 * SEC)) as usize] += ev.tx_count;
         }
     }
-    let stats = RunStats::from_result(&result, params.duration, params.nodes);
+    let stats = RunStats::from_result(&result, params.duration);
     let seqs = committed_sequences(&result.commits, params.nodes);
     Outcome {
         buckets,

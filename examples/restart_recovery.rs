@@ -81,7 +81,7 @@ fn main() {
         restarts,
     );
 
-    let stats = RunStats::from_result(&result, params.duration, params.nodes);
+    let stats = RunStats::from_result(&result, params.duration);
     let seqs = committed_sequences(&result.commits, params.nodes);
     println!(
         "committed {} tx at {:.0} tx/s, avg latency {:.2}s",

@@ -117,7 +117,7 @@ fn no_gc_params(seed: u64) -> (BenchParams, NarwhalConfig) {
     (params, config)
 }
 
-/// Angle 1: across all six DAG consensus variants, validators agree on
+/// Angle 1: across all five DAG consensus variants, validators agree on
 /// roots, the run is deterministic, and an offline replay of the committed
 /// sequence through a fresh engine — fed the batches from the durable
 /// store — reproduces every stamped root byte for byte.
@@ -129,7 +129,6 @@ fn app_root_is_a_pure_function_of_the_committed_sequence() {
         System::Bullshark,
         System::BullsharkRep,
         System::BullsharkPipelined,
-        System::FinWhale,
     ] {
         let (params, config) = no_gc_params(42);
         let (streams, stores) = run_with_ledger(system, &params, &config, &Schedule::default());

@@ -8,7 +8,7 @@
 //! identical committed-certificate prefixes, and every linearization must
 //! respect the DAG's causal (parent) order.
 
-use narwhal_tusk::bullshark::{Bullshark, FinWhale, PipelinedBullshark, Reputation, RoundRobin};
+use narwhal_tusk::bullshark::{Bullshark, Reputation, RoundRobin};
 use narwhal_tusk::crypto::{CoinShare, Digest, Hashable, Scheme};
 use narwhal_tusk::narwhal::{ConsensusOut, Dag, DagConsensus};
 use narwhal_tusk::tusk::{DagRider, Tusk};
@@ -148,10 +148,7 @@ fn every_protocol_linearizes_consistent_prefixes_from_one_recorded_dag() {
             Box::new(Bullshark::new(c.clone(), Reputation::new(c)))
         }),
         ("Bullshark-Pipelined", |c| {
-            Box::new(PipelinedBullshark::new(c.clone(), Reputation::new(c)))
-        }),
-        ("FinWhale", |c| {
-            Box::new(FinWhale::new(c.clone(), RoundRobin::new(c)))
+            Box::new(Bullshark::pipelined(c.clone(), Reputation::new(c)))
         }),
     ];
 
@@ -183,7 +180,7 @@ fn bullshark_commits_more_anchors_than_dag_rider_on_the_same_dag() {
     // rounds 2..12), Tusk's piggybacked 3-round waves 5 (coin rounds
     // 3..11), DAG-Rider's 4-round waves 3 (reveal rounds 4, 8, 12).
     // Pipelined Bullshark re-bases after every commit, so every round
-    // 1..=11 yields an anchor; FinWhale keeps Bullshark's two-round waves.
+    // 1..=11 yields an anchor.
     let (committee, certs) = record_dag(4, 12, 0xB5, true);
     let in_order: Vec<usize> = (0..certs.len()).collect();
     let count = |consensus: &mut dyn DagConsensus<Ext = narwhal_tusk::narwhal::NoExt>| {
@@ -201,13 +198,11 @@ fn bullshark_commits_more_anchors_than_dag_rider_on_the_same_dag() {
     let mut bull = Bullshark::new(committee.clone(), RoundRobin::new(&committee));
     let mut tusk = Tusk::new(committee.clone(), 7);
     let mut rider = DagRider::new(committee.clone(), 7);
-    let mut pipelined = PipelinedBullshark::new(committee.clone(), RoundRobin::new(&committee));
-    let mut finwhale = FinWhale::new(committee.clone(), RoundRobin::new(&committee));
+    let mut pipelined = Bullshark::pipelined(committee.clone(), RoundRobin::new(&committee));
     let b = count(&mut bull);
     let t = count(&mut tusk);
     let r = count(&mut rider);
     let p = count(&mut pipelined);
-    let f = count(&mut finwhale);
     assert_eq!((b, t, r), (6, 5, 3), "anchor cadence per wave size");
-    assert_eq!((p, f), (11, 6), "pipelined anchors every round");
+    assert_eq!(p, 11, "pipelined anchors every round");
 }

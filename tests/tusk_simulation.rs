@@ -13,12 +13,12 @@ fn committed_sequences(
 ) -> Vec<Vec<(Round, ValidatorId)>> {
     let (committee, kps) =
         Committee::deterministic(params.nodes, params.workers, nt_crypto::Scheme::Insecure);
-    let actors = tusk::build_tusk_actors(
+    let actors = narwhal::build_actors(
         &committee,
         &kps,
         &params.narwhal_config(),
         params.workers,
-        params.seed,
+        |_| tusk::Tusk::new(committee.clone(), params.seed),
     );
     let topology = narwhal_topology(params);
     let mut config = SimConfig::new(params.seed, params.duration);
@@ -138,8 +138,9 @@ fn partition_heals_and_commits_catch_up() {
         ..Default::default()
     };
     let (committee, kps) = Committee::deterministic(nodes, 1, nt_crypto::Scheme::Insecure);
-    let actors =
-        tusk::build_tusk_actors(&committee, &kps, &params.narwhal_config(), 1, params.seed);
+    let actors = narwhal::build_actors(&committee, &kps, &params.narwhal_config(), 1, |_| {
+        tusk::Tusk::new(committee.clone(), params.seed)
+    });
     let topology = narwhal_topology(&params);
     let mut config = SimConfig::new(params.seed, duration);
     config.partitions = vec![partition];
