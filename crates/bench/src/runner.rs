@@ -2,7 +2,7 @@
 
 use crate::metrics::RunStats;
 use crate::params::BenchParams;
-use bullshark::{Bullshark, Reputation, RoundRobin};
+use bullshark::{Bullshark, PipelinedBullshark, Reputation, RoundRobin};
 use narwhal::{build_actors, AddressBook};
 use nt_crypto::Scheme;
 use nt_network::{Actor, NodeId, Time};
@@ -149,7 +149,7 @@ pub fn build_dag_actors(
             Bullshark::new(c.clone(), Reputation::new(c))
         }),
         System::BullsharkPipelined => build_actors(c, &kps, &config, w, |_| {
-            Bullshark::pipelined(c.clone(), Reputation::new(c))
+            PipelinedBullshark::new(c.clone(), Reputation::new(c))
         }),
         _ => panic!("{} is not a DAG-over-Narwhal system", system.name()),
     }
@@ -252,7 +252,7 @@ pub fn build_dag_actor_factories_with_app(
                     Box::new(builder.build_primary(Bullshark::new(c.clone(), Reputation::new(c))))
                 }
                 System::BullsharkPipelined => Box::new(
-                    builder.build_primary(Bullshark::pipelined(c.clone(), Reputation::new(c))),
+                    builder.build_primary(PipelinedBullshark::new(c.clone(), Reputation::new(c))),
                 ),
                 _ => panic!("{} is not a DAG-over-Narwhal system", system.name()),
             }

@@ -5,7 +5,7 @@
 //! leader for a wave without exchanging messages. The schedule is therefore
 //! a deterministic function of the wave number and of state that advances
 //! only with the *settled* wave outcomes — which Bullshark delivers to all
-//! validators in the same order (see `Bullshark::settle_instance`).
+//! validators in the same order (see [`narwhal::Waves`]).
 //!
 //! Two schedules are provided:
 //!

@@ -109,13 +109,13 @@ pub trait DagConsensus: Send {
         let _ = checkpoint;
     }
 
-    /// Rounds between consecutive anchor candidates on the happy path.
+    /// Rounds between consecutive committed anchors on the happy path.
     ///
-    /// Two-round-wave protocols (Bullshark) elect an anchor every other
-    /// round; pipelined-anchor protocols (Shoal-style pipelined Bullshark)
-    /// elect one every round and return 1; Tusk's three-round waves still
-    /// *commit* one anchor per two rounds on average, so the default of 2
-    /// fits it too.
+    /// Bullshark and Tusk commit at most one anchor every other round
+    /// (Tusk's three-round waves overlap by one round) and return 2;
+    /// Shoal-style pipelined Bullshark commits one every round and returns
+    /// 1; DAG-Rider's four-round waves commit one per four rounds and
+    /// return 4. The default of 2 fits protocols without waves.
     /// Deployment tooling and the fairness checker use the cadence to
     /// reason about how dense a healthy commit stream should be; it is
     /// informational and never affects safety.

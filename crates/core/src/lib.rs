@@ -17,8 +17,10 @@
 //! - [`worker`]: the scale-out worker state machine — batching, streaming,
 //!   quorum acknowledgments, and batch fetching (§4.2).
 //! - [`consensus`]: the plug-in interface consensus protocols implement to
-//!   order the DAG (Tusk and DAG-Rider in the `tusk` crate, HotStuff in
-//!   `nt-hotstuff`).
+//!   order the DAG (HotStuff in `nt-hotstuff`).
+//! - [`waves`]: the one wave-settlement engine every DAG commit rule runs
+//!   on (Tusk and DAG-Rider in the `tusk` crate, Bullshark in the
+//!   `bullshark` crate).
 //! - [`messages`]: the wire protocol, generic over a consensus extension.
 //! - [`store`]: the typed persistent block store (the paper's RocksDB
 //!   role), with crash recovery of the DAG.
@@ -40,6 +42,7 @@ pub mod primary;
 pub mod store;
 #[doc(hidden)]
 pub mod test_support;
+pub mod waves;
 pub mod worker;
 
 pub use adversary::{AdversaryKind, Byzantine, ADVERSARY_TAG_BASE};
@@ -51,4 +54,5 @@ pub use messages::{BatchInfo, NarwhalMsg};
 pub use node::{build_actors, CommitStream, Node, NodeBuilder, NodeRole};
 pub use primary::Primary;
 pub use store::{BlockStore, BlockStoreError};
+pub use waves::{CommitRule, Instance, Waves};
 pub use worker::Worker;

@@ -1,12 +1,11 @@
 //! Node construction and the role-agnostic driver surface.
 //!
-//! Historically each host was built through a per-role constructor ladder
-//! (`Primary::new` / `Primary::with_store` and the `Worker` equivalents)
-//! whose argument lists grew with every feature. [`NodeBuilder`] replaces
-//! that ladder with one configuration surface, and [`Node`] wraps either
-//! role behind the uniform `on_start` / `handle` / `on_timer` driver API —
-//! the contract both hosts of the state machines (the deterministic
-//! simulator and the real-socket `nt_runtime`) program against.
+//! [`NodeBuilder`] is the one configuration surface for both roles (the
+//! only way to construct a [`Primary`] or a [`Worker`]), and [`Node`]
+//! wraps either role behind the uniform `on_start` / `handle` /
+//! `on_timer` driver API — the contract both hosts of the state machines
+//! (the deterministic simulator and the real-socket `nt_runtime`) program
+//! against.
 //!
 //! A [`Node`] additionally owns the [`CommitStream`] subscription tap:
 //! applications subscribe *before* handing the node to a runtime and then

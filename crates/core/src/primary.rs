@@ -13,8 +13,8 @@
 //! messages through the same primary.
 //!
 //! Durability (§6, "data-structures are persisted using RocksDB"): a
-//! primary built with [`Primary::with_store`] writes through a
-//! [`BlockStore`] — certificates on DAG insert, vote locks on
+//! primary given a store ([`crate::NodeBuilder::store`]) writes through
+//! a [`BlockStore`] — certificates on DAG insert, vote locks on
 //! acknowledgment, ordered markers and the sequence counter on commit, the
 //! consensus checkpoint after every settled anchor — and deletes with
 //! garbage collection. On start it recovers all of it, so a crashed
@@ -33,7 +33,6 @@ use nt_execution::{
     SnapshotSig,
 };
 use nt_network::{Actor, Context, NodeId, Time};
-use nt_storage::DynStore;
 use nt_types::{Certificate, CommitEvent, Committee, Header, Round, ValidatorId, Vote};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
@@ -181,44 +180,6 @@ pub struct Primary<C: DagConsensus> {
 }
 
 impl<C: DagConsensus> Primary<C> {
-    /// Creates a volatile primary for validator `me` (no persistence).
-    #[deprecated(since = "0.1.0", note = "use narwhal::NodeBuilder instead")]
-    pub fn new(
-        committee: Committee,
-        config: NarwhalConfig,
-        addr: AddressBook,
-        me: ValidatorId,
-        keypair: KeyPair,
-        consensus: C,
-    ) -> Self {
-        Self::build(committee, config, addr, me, keypair, consensus, None, None)
-    }
-
-    /// Creates a primary that persists through `store` and recovers from it
-    /// on start. Share the same backend with the validator's workers (the
-    /// paper's per-validator RocksDB instance).
-    #[deprecated(since = "0.1.0", note = "use narwhal::NodeBuilder instead")]
-    pub fn with_store(
-        committee: Committee,
-        config: NarwhalConfig,
-        addr: AddressBook,
-        me: ValidatorId,
-        keypair: KeyPair,
-        consensus: C,
-        store: DynStore,
-    ) -> Self {
-        Self::build(
-            committee,
-            config,
-            addr,
-            me,
-            keypair,
-            consensus,
-            Some(BlockStore::new(store)),
-            None,
-        )
-    }
-
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn build(
         committee: Committee,
@@ -776,11 +737,7 @@ impl<C: DagConsensus> Primary<C> {
         });
         if entry.attempts == 0 {
             entry.attempts = 1;
-            let target = if hint == self.me {
-                ValidatorId((hint.0 + 1) % self.committee.size() as u32)
-            } else {
-                hint
-            };
+            let target = retry_target(hint, 0, self.me, self.committee.size() as u32);
             ctx.send(
                 self.addr.primary(target),
                 NarwhalMsg::CertRequest {
@@ -1239,10 +1196,7 @@ impl<C: DagConsensus> Primary<C> {
             if now.saturating_sub(missing.last) >= self.config.sync_retry_delay {
                 missing.attempts += 1;
                 missing.last = now;
-                let mut target = ValidatorId((missing.hint.0 + missing.attempts) % n);
-                if target == self.me {
-                    target = ValidatorId((target.0 + 1) % n);
-                }
+                let target = retry_target(missing.hint, missing.attempts, self.me, n);
                 requests.push((target, *digest));
             }
         }
@@ -1290,10 +1244,7 @@ impl<C: DagConsensus> Primary<C> {
                     fetch.base = None;
                     fetch.chunks.clear();
                 }
-                let mut target = ValidatorId((fetch.hint.0 + fetch.attempts) % n);
-                if target == self.me {
-                    target = ValidatorId((target.0 + 1) % n);
-                }
+                let target = retry_target(fetch.hint, fetch.attempts, self.me, n);
                 let (sequence, cursor) = match &fetch.manifest {
                     Some(m) => (
                         m.sequence,
@@ -1605,10 +1556,7 @@ impl<C: DagConsensus> Primary<C> {
         }
         self.range_pull_last = now;
         let n = self.committee.size() as u32;
-        let mut target = ValidatorId((cert.origin().0 + self.range_pull_attempts) % n);
-        if target == self.me {
-            target = ValidatorId((target.0 + 1) % n);
-        }
+        let target = retry_target(cert.origin(), self.range_pull_attempts, self.me, n);
         self.range_pull_attempts += 1;
         // Start two rounds below the local round: the local quorum that
         // advanced us here need not be the quorum our suspended descendants
@@ -1642,10 +1590,7 @@ impl<C: DagConsensus> Primary<C> {
         if cert.round() <= self.dag.highest_round() + self.config.gc_depth {
             return;
         }
-        let mut hint = cert.origin();
-        if hint == self.me {
-            hint = ValidatorId((hint.0 + 1) % self.committee.size() as u32);
-        }
+        let hint = retry_target(cert.origin(), 0, self.me, self.committee.size() as u32);
         self.snapshot_fetch = Some(SnapshotFetch {
             hint,
             attempts: 0,
@@ -2060,6 +2005,18 @@ impl<C: DagConsensus> Actor for Primary<C> {
             // Worker-to-worker traffic is never addressed to primaries.
             _ => {}
         }
+    }
+}
+
+/// The `attempts`-th pull target after `hint` in a committee of `n`:
+/// retries rotate through the committee, skipping `me`, so one dead or
+/// Byzantine peer costs one retry interval.
+fn retry_target(hint: ValidatorId, attempts: u32, me: ValidatorId, n: u32) -> ValidatorId {
+    let target = ValidatorId((hint.0 + attempts) % n);
+    if target == me {
+        ValidatorId((target.0 + 1) % n)
+    } else {
+        target
     }
 }
 

@@ -14,7 +14,6 @@ use crate::messages::{BatchInfo, NarwhalMsg};
 use crate::store::BlockStore;
 use nt_crypto::{Digest, Hashable as _};
 use nt_network::{Actor, Context, NodeId, Time};
-use nt_storage::DynStore;
 use nt_types::{Batch, Committee, Transaction, TxSample, ValidatorId, WorkerId};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -62,40 +61,6 @@ pub struct Worker<Ext: Clone + Send + 'static> {
 }
 
 impl<Ext: Clone + Send + 'static> Worker<Ext> {
-    /// Creates a volatile worker for slot `worker_id` of validator `me`.
-    #[deprecated(since = "0.1.0", note = "use narwhal::NodeBuilder instead")]
-    pub fn new(
-        committee: Committee,
-        config: NarwhalConfig,
-        addr: AddressBook,
-        me: ValidatorId,
-        worker_id: WorkerId,
-    ) -> Self {
-        Self::build(committee, config, addr, me, worker_id, None)
-    }
-
-    /// Creates a worker that persists batches through `store` and recovers
-    /// them on start. Share the same backend with the validator's primary
-    /// (the paper's per-validator RocksDB instance).
-    #[deprecated(since = "0.1.0", note = "use narwhal::NodeBuilder instead")]
-    pub fn with_store(
-        committee: Committee,
-        config: NarwhalConfig,
-        addr: AddressBook,
-        me: ValidatorId,
-        worker_id: WorkerId,
-        store: DynStore,
-    ) -> Self {
-        Self::build(
-            committee,
-            config,
-            addr,
-            me,
-            worker_id,
-            Some(BlockStore::new(store)),
-        )
-    }
-
     pub(crate) fn build(
         committee: Committee,
         config: NarwhalConfig,

@@ -36,7 +36,7 @@ pub use driver::{drive, spawn_node, DriverHandle};
 pub use timer::TimerWheel;
 pub use transport::{ClientConn, Transport};
 
-use bullshark::{Bullshark, Reputation, RoundRobin};
+use bullshark::{Bullshark, PipelinedBullshark, Reputation, RoundRobin};
 use narwhal::{NoExt, Node, NodeBuilder, NodeRole};
 use nt_crypto::KeyPair;
 use nt_execution::{Execution, LedgerApp};
@@ -129,7 +129,7 @@ pub fn build_node_with_app(
             }
             SystemKind::BullsharkPipelined => {
                 let schedule = Reputation::new(&committee);
-                builder.primary_node(Bullshark::pipelined(committee, schedule))
+                builder.primary_node(PipelinedBullshark::new(committee, schedule))
             }
         },
         NodeRole::Worker(worker) => builder.worker_node::<NoExt>(worker),

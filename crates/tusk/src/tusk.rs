@@ -1,195 +1,109 @@
-//! The Tusk commit rule (§5).
+//! The coin-elected commit rules: Tusk (§5) and DAG-Rider (§8.2).
 //!
-//! Waves are three rounds; the third round of wave `w` is the first round
-//! of wave `w + 1` (the paper's piggybacking optimization that brings
-//! common-case latency from 5.5 to 4.5 rounds). For wave `w >= 1`:
+//! Both elect each wave's leader *in retrospect* with a shared random coin
+//! reconstructed from the `f + 1`-of-`n` coin shares carried in ordinary
+//! blocks, so an adaptive adversary learns the leader only after the
+//! wave's first rounds are fixed (§5.2). Each is a [`CommitRule`] over the
+//! shared [`Waves`] engine, which orders skipped leaders along DAG paths
+//! (Lemma 1 guarantees such paths exist for leaders any honest validator
+//! committed directly).
 //!
-//! - proposal round `r1(w) = 2w - 1`,
-//! - voting round `r2(w) = 2w`,
-//! - coin round `r3(w) = 2w + 1` (also `r1(w + 1)`).
-//!
-//! The coin for wave `w` is reconstructed from the coin shares carried in
-//! round-`r3` blocks; it elects a leader block in `r1` *in retrospect*, so
-//! an adaptive adversary learns the leader only after the first two rounds
-//! are fixed (§5.2). The leader commits if at least `f + 1` round-`r2`
-//! blocks reference it. On commit, the validator walks back through the
-//! waves since its last commit and orders every elected leader reachable by
-//! a DAG path (Lemma 1 guarantees such paths exist for leaders any honest
-//! validator committed directly).
+//! - **Tusk**: waves are three rounds, and the third round of wave `w` is
+//!   the first round of wave `w + 1` (the paper's piggybacking, which
+//!   brings common-case latency from 5.5 to 4.5 rounds). Candidates sit at
+//!   the odd rounds `2w - 1`; the coin is revealed two rounds above, and
+//!   the leader commits if at least `f + 1` next-round blocks reference
+//!   it.
+//! - **DAG-Rider**: waves are four rounds with no piggybacking (wave `w`
+//!   owns rounds `4w - 3 ..= 4w`). The coin is revealed in the wave's last
+//!   round, and the leader commits if `2f + 1` of that round's blocks have
+//!   a path to it. Weak links (DAG-Rider's block-level fairness device)
+//!   are omitted, as Tusk forbids them to enable garbage collection.
 
-use narwhal::{CertId, ConsensusOut, Dag, DagConsensus, DagView, NoExt};
-use nt_codec::{decode_from_slice, encode_to_vec};
+use narwhal::{CertId, CommitRule, DagView, Waves};
 use nt_crypto::{combine_shares, CoinShare};
-use nt_types::{Certificate, Committee, Round, ValidatorId};
+use nt_types::{Committee, Round, ValidatorId};
 
-/// Tusk consensus state.
-pub struct Tusk {
+/// Tusk consensus; `Tusk::new(committee, domain)`, where `domain` seeds the
+/// coin and must be identical at all validators.
+pub type Tusk = Waves<TuskRule>;
+
+/// DAG-Rider consensus; `DagRider::new(committee, domain)`, as for Tusk.
+pub type DagRider = Waves<DagRiderRule>;
+
+/// Tusk's commit rule.
+pub struct TuskRule {
     committee: Committee,
     /// Coin domain separator (a deployment-wide genesis nonce).
     domain: u64,
-    /// Last wave whose leader this validator committed.
-    last_committed_wave: u64,
-    /// Count of directly committed leaders (metrics).
-    direct_commits: u64,
-    /// Count of leaders committed via the recursive path rule (metrics).
-    indirect_commits: u64,
 }
 
-impl Tusk {
-    /// Creates a Tusk instance for this committee.
-    ///
-    /// `domain` must be identical at all validators (it seeds the coin).
-    pub fn new(committee: Committee, domain: u64) -> Self {
-        Tusk {
-            committee,
-            domain,
-            last_committed_wave: 0,
-            direct_commits: 0,
-            indirect_commits: 0,
-        }
+/// DAG-Rider's commit rule.
+pub struct DagRiderRule {
+    committee: Committee,
+    /// Coin domain separator, as for Tusk.
+    domain: u64,
+}
+
+/// The leader the coin revealed at round `reveal` elects, once `f + 1`
+/// of that round's blocks carry shares.
+fn elect(
+    committee: &Committee,
+    domain: u64,
+    view: DagView<'_>,
+    reveal: Round,
+) -> Option<ValidatorId> {
+    let shares: Vec<CoinShare> = view
+        .round_ids(reveal)
+        .filter_map(|id| view.cert(id).header.coin_share)
+        .collect();
+    let coin = combine_shares(domain, reveal, &shares, committee.validity_threshold())?;
+    Some(ValidatorId((coin % committee.size() as u64) as u32))
+}
+
+impl CommitRule for TuskRule {
+    type Params = u64;
+
+    fn new(committee: Committee, domain: u64) -> Self {
+        TuskRule { committee, domain }
     }
 
-    /// First round of wave `w` (wave numbering starts at 1; wave 0 is the
-    /// genesis fiction and has no rounds).
-    pub fn proposal_round(w: u64) -> Round {
-        debug_assert!(w >= 1, "wave numbering starts at 1");
-        (2 * w).saturating_sub(1)
+    fn spacing(&self) -> Round {
+        2
     }
 
-    /// Second (voting) round of wave `w`.
-    pub fn voting_round(w: u64) -> Round {
-        2 * w
+    fn leader(&self, view: DagView<'_>, round: Round, _: u64) -> Option<ValidatorId> {
+        elect(&self.committee, self.domain, view, round + 2)
     }
 
-    /// Third (coin) round of wave `w` — shared with wave `w + 1`.
-    pub fn coin_round(w: u64) -> Round {
-        2 * w + 1
-    }
-
-    /// `(direct, indirect)` commit counts (metrics).
-    pub fn commit_counts(&self) -> (u64, u64) {
-        (self.direct_commits, self.indirect_commits)
-    }
-
-    /// Leaders committed by their own `f + 1` vote quorum (metrics).
-    pub fn direct_commits(&self) -> u64 {
-        self.direct_commits
-    }
-
-    /// Leaders committed via the recursive path rule (metrics).
-    pub fn indirect_commits(&self) -> u64 {
-        self.indirect_commits
-    }
-
-    /// The leader elected for `wave`, if its coin is revealed and the
-    /// leader's block is in the local DAG.
-    pub fn leader_of(&self, dag: &Dag, wave: u64) -> Option<Certificate> {
-        self.leader_id_of(dag.view(), wave)
-            .map(|id| dag.view().cert(id).clone())
-    }
-
-    /// The interned id of `wave`'s elected leader block, if present.
-    fn leader_id_of(&self, view: DagView<'_>, wave: u64) -> Option<CertId> {
-        let leader = self.elect(view, wave)?;
-        view.id_at(Self::proposal_round(wave), leader)
-    }
-
-    /// Reconstructs the coin for `wave` from shares in round-`r3` blocks.
-    fn elect(&self, view: DagView<'_>, wave: u64) -> Option<ValidatorId> {
-        let r3 = Self::coin_round(wave);
-        let shares: Vec<CoinShare> = view
-            .round_ids(r3)
-            .filter_map(|id| view.cert(id).header.coin_share)
-            .collect();
-        let coin = combine_shares(
-            self.domain,
-            r3,
-            &shares,
-            self.committee.validity_threshold(),
-        )?;
-        Some(ValidatorId((coin % self.committee.size() as u64) as u32))
-    }
-
-    /// Re-evaluates all undecided waves against the current DAG; returns
-    /// newly committed anchors in commit order.
-    ///
-    /// Waves are never frozen: a wave whose leader lacks support *now* may
-    /// gain it as more second-round blocks arrive, and is re-checked on
-    /// every insertion until some later wave commits past it (at which
-    /// point the recursion settles its fate once and for all).
-    fn try_decide(&mut self, dag: &Dag) -> Vec<Certificate> {
-        let view = dag.view();
-        let mut anchors = Vec::new();
-        let mut wave = self.last_committed_wave + 1;
-        // Stop at the first wave whose coin is not yet revealed; later
-        // waves reveal even later.
-        while let Some(leader_id) = self.elect(view, wave) {
-            let r1 = Self::proposal_round(wave);
-            if let Some(leader) = view.id_at(r1, leader_id) {
-                // Commit rule: f + 1 votes in the second round (§5).
-                if view.support(leader) >= self.committee.validity_threshold() {
-                    anchors.extend(self.commit(view, leader, wave));
-                }
-            }
-            wave += 1;
-        }
-        anchors
-    }
-
-    /// Commits the leader of `wave`, first recursively ordering every
-    /// elected leader of the skipped waves that the anchor has a path to.
-    fn commit(&mut self, view: DagView<'_>, leader: CertId, wave: u64) -> Vec<Certificate> {
-        let mut chain = vec![leader];
-        let mut candidate = leader;
-        for w in (self.last_committed_wave + 1..wave).rev() {
-            if let Some(past) = self.leader_id_of(view, w) {
-                if view.path_exists(candidate, past) {
-                    chain.push(past);
-                    candidate = past;
-                }
-            }
-        }
-        self.direct_commits += 1;
-        self.indirect_commits += (chain.len() - 1) as u64;
-        self.last_committed_wave = wave;
-        chain.reverse();
-        chain.into_iter().map(|id| view.cert(id).clone()).collect()
+    /// `f + 1` votes in the next round (§5).
+    fn commits_directly(&self, view: DagView<'_>, anchor: CertId) -> bool {
+        view.support(anchor) >= self.committee.validity_threshold()
     }
 }
 
-impl DagConsensus for Tusk {
-    type Ext = NoExt;
+impl CommitRule for DagRiderRule {
+    type Params = u64;
 
-    fn on_certificate(&mut self, dag: &Dag, cert: &Certificate, out: &mut ConsensusOut<NoExt>) {
-        // Only new blocks at or past a coin round can change decisions, but
-        // re-evaluating unconditionally is cheap and simpler to reason
-        // about: `try_decide` is idempotent and strictly forward-moving.
-        let _ = cert;
-        out.anchors.extend(self.try_decide(dag));
+    fn new(committee: Committee, domain: u64) -> Self {
+        DagRiderRule { committee, domain }
     }
 
-    fn commit_counts(&self) -> (u64, u64) {
-        (self.direct_commits, self.indirect_commits)
+    fn spacing(&self) -> Round {
+        4
     }
 
-    /// Tusk *must* checkpoint: `try_decide` walks waves forward from the
-    /// last committed one, and a post-GC restart that rewound to wave 1
-    /// could never reveal wave 1's coin again (its shares were pruned) —
-    /// the walk would stall forever.
-    fn checkpoint(&self) -> Option<Vec<u8>> {
-        Some(encode_to_vec(&(
-            self.last_committed_wave,
-            self.direct_commits,
-            self.indirect_commits,
-        )))
+    fn leader(&self, view: DagView<'_>, round: Round, _: u64) -> Option<ValidatorId> {
+        elect(&self.committee, self.domain, view, round + 3)
     }
 
-    fn restore(&mut self, checkpoint: &[u8]) {
-        if let Ok((wave, direct, indirect)) = decode_from_slice::<(u64, u64, u64)>(checkpoint) {
-            self.last_committed_wave = wave;
-            self.direct_commits = direct;
-            self.indirect_commits = indirect;
-        }
+    /// `2f + 1` blocks in the wave's last round with a path to the leader.
+    fn commits_directly(&self, view: DagView<'_>, anchor: CertId) -> bool {
+        let votes = view
+            .round_ids(view.round_of(anchor) + 3)
+            .filter(|c| view.path_exists(*c, anchor))
+            .count();
+        votes >= self.committee.quorum_threshold()
     }
 }
 
@@ -197,49 +111,24 @@ impl DagConsensus for Tusk {
 mod tests {
     use super::*;
     use narwhal::test_support::{make_round, Driver};
+    use narwhal::{ConsensusOut, Dag, DagConsensus};
     use nt_crypto::{Digest, Scheme};
+    use nt_types::Certificate;
 
     fn tusk(n: usize, domain: u64) -> Driver<Tusk> {
         Driver::new(n, |c| Tusk::new(c.clone(), domain))
     }
 
-    #[test]
-    fn wave_round_arithmetic() {
-        assert_eq!(Tusk::proposal_round(1), 1);
-        assert_eq!(Tusk::voting_round(1), 2);
-        assert_eq!(Tusk::coin_round(1), 3);
-        // Piggybacking: wave 2 starts at wave 1's coin round.
-        assert_eq!(Tusk::proposal_round(2), 3);
-        assert_eq!(Tusk::coin_round(2), 5);
-    }
-
-    /// Regression: `proposal_round(0)` used to compute `2 * 0 - 1`,
-    /// panicking in debug and wrapping to `u64::MAX` in release. Waves are
-    /// numbered from 1, so wave 0 now trips the `debug_assert` guard...
-    #[test]
-    #[should_panic(expected = "wave numbering starts at 1")]
-    #[cfg(debug_assertions)]
-    fn proposal_round_zero_is_rejected_in_debug() {
-        Tusk::proposal_round(0);
-    }
-
-    /// ...and saturates to round 0 instead of wrapping in release.
-    #[test]
-    #[cfg(not(debug_assertions))]
-    fn proposal_round_zero_saturates_in_release() {
-        assert_eq!(Tusk::proposal_round(0), 0);
-    }
-
-    #[test]
-    fn commit_count_accessors_expose_the_metrics() {
-        let mut d = tusk(4, 7);
-        for r in 1..=9 {
+    fn dag_rider(n: usize, rounds: Round) -> Driver<DagRider> {
+        let mut d = Driver::new(n, |c| DagRider::new(c.clone(), 11));
+        for r in 1..=rounds {
             d.full_round(r);
         }
-        // Fully connected 9 rounds: waves 1..=4 all commit directly (see
-        // `commits_leader_every_wave_in_full_dag`).
-        assert_eq!(d.consensus.direct_commits(), 4);
-        assert_eq!(d.consensus.indirect_commits(), 0);
+        d
+    }
+
+    fn anchor_rounds(anchors: &[Certificate]) -> Vec<Round> {
+        anchors.iter().map(Certificate::round).collect()
     }
 
     #[test]
@@ -251,12 +140,33 @@ mod tests {
         // Waves 1..=4 decidable (coin rounds 3, 5, 7, 9). Fully connected:
         // every leader present with n >= f+1 support commits.
         assert_eq!(d.anchors.len(), 4);
-        let (direct, indirect) = d.consensus.commit_counts();
-        assert_eq!(direct, 4);
-        assert_eq!(indirect, 0);
+        assert_eq!(d.consensus.commit_counts(), (4, 0));
         // Anchors come in wave order at the waves' proposal rounds.
-        let rounds: Vec<Round> = d.anchors.iter().map(Certificate::round).collect();
-        assert_eq!(rounds, vec![1, 3, 5, 7]);
+        assert_eq!(anchor_rounds(&d.anchors), vec![1, 3, 5, 7]);
+        assert_eq!(d.consensus.anchor_cadence(), 2);
+    }
+
+    #[test]
+    fn dag_rider_commits_one_leader_per_four_rounds() {
+        let d = dag_rider(4, 12);
+        // Waves 1..=3 commit, anchored at rounds 1, 5, 9; no piggybacking,
+        // so wave 2 starts after wave 1's reveal round 4.
+        assert_eq!(anchor_rounds(&d.anchors), vec![1, 5, 9]);
+        assert_eq!(d.consensus.commit_counts(), (3, 0));
+        assert_eq!(d.consensus.anchor_cadence(), 4);
+    }
+
+    #[test]
+    fn dag_rider_waves_are_sparser_than_tusk() {
+        // Over the same 13-round DAG, Tusk decides 6 waves (coin rounds 3,
+        // 5, ..., 13) while DAG-Rider decides 3 (reveal rounds 4, 8, 12):
+        // the piggybacking is exactly a 2x anchor-frequency improvement.
+        let mut t = tusk(4, 11);
+        for r in 1..=13 {
+            t.full_round(r);
+        }
+        assert_eq!(t.anchors.len(), 6);
+        assert_eq!(dag_rider(4, 13).anchors.len(), 3);
     }
 
     #[test]

@@ -15,12 +15,15 @@
 //! - [`runtime`]: the real-socket runtime (TCP transport, node driver, the
 //!   `narwhal-node` binary for process-per-validator deployments).
 //! - [`simnet`]: the deterministic discrete-event WAN simulator.
-//! - [`narwhal`]: the Narwhal mempool (primary, workers, synchronizer, GC).
+//! - [`narwhal`]: the Narwhal mempool (primary, workers, synchronizer, GC),
+//!   and [`narwhal::Waves`], the one wave-settlement engine every DAG commit
+//!   rule below runs on.
 //! - [`execution`]: the ABCI-style execution layer (account ledger, state
 //!   roots, signed snapshots for state transfer).
-//! - [`tusk`]: the Tusk asynchronous consensus (and the DAG-Rider variant).
-//! - [`bullshark`]: partially-synchronous Bullshark with pluggable leader
-//!   schedules (round-robin, Shoal-style reputation).
+//! - [`tusk`]: the Tusk and DAG-Rider commit rules (coin-elected leaders).
+//! - [`bullshark`]: the partially-synchronous Bullshark commit rule, fixed
+//!   or pipelined, with pluggable leader schedules (round-robin,
+//!   Shoal-style reputation).
 //! - [`hotstuff`]: chained HotStuff with baseline/batched/Narwhal mempools.
 //! - `bench`: workload generation, metrics, and the experiment runner.
 

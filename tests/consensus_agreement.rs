@@ -8,9 +8,10 @@
 //! identical committed-certificate prefixes, and every linearization must
 //! respect the DAG's causal (parent) order.
 
-use narwhal_tusk::bullshark::{Bullshark, Reputation, RoundRobin};
+use narwhal_tusk::bullshark::{Bullshark, PipelinedBullshark, Reputation, RoundRobin};
 use narwhal_tusk::crypto::{CoinShare, Digest, Hashable, Scheme};
-use narwhal_tusk::narwhal::{ConsensusOut, Dag, DagConsensus};
+use narwhal_tusk::narwhal::test_support::Driver;
+use narwhal_tusk::narwhal::{CommitRule, ConsensusOut, Dag, DagConsensus, Instance, Waves};
 use narwhal_tusk::tusk::{DagRider, Tusk};
 use narwhal_tusk::types::{Certificate, Committee, Header, Round, ValidatorId, Vote};
 use std::collections::{HashMap, HashSet};
@@ -148,7 +149,7 @@ fn every_protocol_linearizes_consistent_prefixes_from_one_recorded_dag() {
             Box::new(Bullshark::new(c.clone(), Reputation::new(c)))
         }),
         ("Bullshark-Pipelined", |c| {
-            Box::new(Bullshark::pipelined(c.clone(), Reputation::new(c)))
+            Box::new(PipelinedBullshark::new(c.clone(), Reputation::new(c)))
         }),
     ];
 
@@ -198,11 +199,115 @@ fn bullshark_commits_more_anchors_than_dag_rider_on_the_same_dag() {
     let mut bull = Bullshark::new(committee.clone(), RoundRobin::new(&committee));
     let mut tusk = Tusk::new(committee.clone(), 7);
     let mut rider = DagRider::new(committee.clone(), 7);
-    let mut pipelined = Bullshark::pipelined(committee.clone(), RoundRobin::new(&committee));
+    let mut pipelined = PipelinedBullshark::new(committee.clone(), RoundRobin::new(&committee));
     let b = count(&mut bull);
     let t = count(&mut tusk);
     let r = count(&mut rider);
     let p = count(&mut pipelined);
     assert_eq!((b, t, r), (6, 5, 3), "anchor cadence per wave size");
     assert_eq!(p, 11, "pipelined anchors every round");
+}
+
+/// Runs `make`'s protocol twice over one 4-validator DAG in which validator
+/// 1 never proposes (so waves it leads are skipped): straight through, and
+/// with the instance checkpointed after round 10 and replaced by a fresh
+/// one restored from the blob. The restored instance must resume at the
+/// same open instance with the same counters, and commit the same anchors.
+fn assert_restore_resumes_identically<R: CommitRule>(
+    name: &str,
+    make: impl Fn(&Committee) -> Waves<R>,
+) {
+    const CUT: Round = 10;
+    let live = [0, 2, 3];
+    let mut straight = Driver::new(4, &make);
+    let mut restarted = Driver::new(4, &make);
+    for r in 1..=CUT {
+        straight.round_of(r, &live);
+        restarted.round_of(r, &live);
+    }
+    let blob = restarted.consensus.checkpoint().expect("checkpointed");
+    let mut fresh = make(&restarted.committee);
+    fresh.restore(&blob);
+    let before = &restarted.consensus;
+    assert_eq!(fresh.instance(), before.instance(), "{name}: open instance");
+    assert_eq!(
+        fresh.commit_counts(),
+        before.commit_counts(),
+        "{name}: counters"
+    );
+    restarted.consensus = fresh;
+    let committed_at_cut = restarted.anchors.len();
+    for r in CUT + 1..=24 {
+        straight.round_of(r, &live);
+        restarted.round_of(r, &live);
+    }
+    let seq = |anchors: &[Certificate]| -> Vec<(Round, ValidatorId)> {
+        anchors.iter().map(|a| (a.round(), a.origin())).collect()
+    };
+    assert!(
+        committed_at_cut > 0,
+        "{name}: nothing committed before the cut"
+    );
+    assert!(
+        restarted.anchors.len() > committed_at_cut,
+        "{name}: nothing committed after the restore"
+    );
+    assert_eq!(
+        seq(&straight.anchors),
+        seq(&restarted.anchors),
+        "{name}: anchors"
+    );
+    assert_eq!(
+        straight.consensus.instance(),
+        restarted.consensus.instance(),
+        "{name}: open instance at the end"
+    );
+    assert_eq!(
+        straight.consensus.commit_counts(),
+        restarted.consensus.commit_counts(),
+        "{name}: counters at the end"
+    );
+}
+
+#[test]
+fn checkpoint_restore_resumes_identically() {
+    assert_restore_resumes_identically("Tusk", |c| Tusk::new(c.clone(), 7));
+    assert_restore_resumes_identically("DAG-Rider", |c| DagRider::new(c.clone(), 7));
+    assert_restore_resumes_identically("Bullshark", |c| {
+        Bullshark::new(c.clone(), RoundRobin::new(c))
+    });
+    assert_restore_resumes_identically("Bullshark-Rep", |c| {
+        Bullshark::new(c.clone(), Reputation::new(c))
+    });
+    assert_restore_resumes_identically("Bullshark-Pipelined", |c| {
+        PipelinedBullshark::new(c.clone(), Reputation::new(c))
+    });
+}
+
+/// A blob that does not decode leaves `make`'s protocol at genesis.
+fn assert_garbage_restore_is_ignored<R: CommitRule>(
+    name: &str,
+    make: impl Fn(&Committee) -> Waves<R>,
+) {
+    let (committee, _) = Committee::deterministic(4, 1, Scheme::Insecure);
+    let mut consensus = make(&committee);
+    consensus.restore(b"not a checkpoint");
+    let genesis = Instance {
+        base: 1,
+        settled: 0,
+    };
+    assert_eq!(consensus.instance(), genesis, "{name}");
+    assert_eq!(consensus.commit_counts(), (0, 0), "{name}");
+}
+
+#[test]
+fn garbage_restore_blob_is_ignored() {
+    assert_garbage_restore_is_ignored("Tusk", |c| Tusk::new(c.clone(), 7));
+    assert_garbage_restore_is_ignored("DAG-Rider", |c| DagRider::new(c.clone(), 7));
+    assert_garbage_restore_is_ignored("Bullshark", |c| {
+        Bullshark::new(c.clone(), RoundRobin::new(c))
+    });
+    assert_garbage_restore_is_ignored("Bullshark-Pipelined", |c| {
+        PipelinedBullshark::new(c.clone(), Reputation::new(c))
+    });
 }
